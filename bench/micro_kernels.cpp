@@ -3,8 +3,7 @@
  * google-benchmark microbenchmarks of the functional CBIR kernels:
  * the GEMM, partial sort and distance primitives the FPGA engines
  * implement, plus k-means and the mini CNN; the discrete-event queue
- * hot path (schedule/run/deschedule mix, against a frozen copy of the
- * pre-rework queue as the regression baseline); and the parallel
+ * hot path (schedule/run/deschedule mix); and the parallel
  * figure-sweep runner. These are host-CPU numbers (sanity and
  * regression tracking), not simulated-FPGA numbers.
  */
@@ -12,12 +11,7 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
-#include <functional>
 #include <memory>
-#include <queue>
-#include <string>
-#include <unordered_map>
-#include <unordered_set>
 
 #include "cbir/kmeans.hh"
 #include "cbir/linalg.hh"
@@ -528,18 +522,6 @@ struct PqCompareFixture
     InvertedFileIndex idx4; // 4-bit packed codes, same clustering
     Matrix queries;
     ShortLists lists;
-    /**
-     * Zipf(2.0)-skewed queries for the batched-rerank comparison:
-     * the hottest latent topics draw most of the batch, so its
-     * probes overlap heavily — the head-heavy regime where streaming
-     * each probed code block once per batch pays. s = 2 (not the
-     * milder s ~ 1 of whole-log statistics) because the 64 latent
-     * clusters split across 256 k-means cells, which dilutes
-     * per-cell overlap by ~4x; the heavier head restores the
-     * within-batch sharing a production-scale cell count exhibits.
-     */
-    Matrix zipfQueries;
-    ShortLists zipfLists;
 
     PqCompareFixture()
         : ds([] {
@@ -558,8 +540,7 @@ struct PqCompareFixture
           idx(km.centroids, km.assignment, ds.vectors()),
           idx4(std::move(km.centroids), std::move(km.assignment),
                ds.vectors()),
-          queries(ds.makeQueries(256, 0.05, 9)),
-          zipfQueries(ds.makeQueriesZipf(32, 0.05, 11, 2.0))
+          queries(ds.makeQueries(256, 0.05, 9))
     {
         std::size_t sample_rows =
             std::min<std::size_t>(65'536, ds.size());
@@ -580,7 +561,6 @@ struct PqCompareFixture
         idx4.attachPq(cb4, cb4->encodeAll(ds.vectors()));
         // Identical centroids -> identical shortlists for both.
         lists = shortlistRetrieve(queries, idx, 8);
-        zipfLists = shortlistRetrieve(zipfQueries, idx, 8);
     }
 };
 
@@ -652,128 +632,6 @@ BM_RerankPqRefine(benchmark::State &state, simd::Choice choice)
 BENCHMARK_CAPTURE(BM_RerankPqRefine, scalar, simd::Choice::scalar);
 BENCHMARK_CAPTURE(BM_RerankPqRefine, avx2, simd::Choice::avx2);
 
-/** Near-storage traffic both rerank scan orders would stream. */
-struct ProbePlanBytes
-{
-    std::uint64_t queryMajor = 0;
-    std::uint64_t batched = 0;
-};
-
-/**
- * Replays the rerank candidate walk over the actual shortlists:
- * query-major charges every query's budget-truncated prefix of each
- * probed code block; cluster-major charges each distinct block once
- * at the longest prefix any probing query needs, plus the per-query
- * ADC tables that travel to the scan engine instead (u8 rows at 4
- * bits, f32 rows at 8). A pure function of the probe plan — exact,
- * hardware-independent, and identical at any --jobs — which is why
- * run_micro.sh gates the amortization ratio on these counters rather
- * than on wall clock (an LLC large enough to hold the code arrays
- * hides the traffic difference from timers; see DESIGN.md).
- */
-ProbePlanBytes
-probePlanBytes(const InvertedFileIndex &index, const ShortLists &lists,
-               std::size_t max_candidates)
-{
-    const PqCodebook &cb = index.pqCodebook();
-    const std::uint64_t code_bytes = cb.codeBytes();
-    const std::uint64_t lut_bytes = cb.numSubspaces() *
-                                    cb.lutStride() *
-                                    (cb.codeBits() == 4 ? 1 : 4);
-    ProbePlanBytes out;
-    std::unordered_map<std::uint32_t, std::size_t> longest;
-    for (const auto &probes : lists) {
-        std::size_t total = 0;
-        for (std::uint32_t c : probes) {
-            if (max_candidates && total >= max_candidates)
-                break;
-            std::size_t take = index.cluster(c).size();
-            if (max_candidates)
-                take = std::min(take, max_candidates - total);
-            total += take;
-            out.queryMajor += take * code_bytes;
-            auto &best = longest[c];
-            best = std::max(best, take);
-        }
-        out.batched += lut_bytes;
-    }
-    for (const auto &[c, take] : longest)
-        out.batched += take * code_bytes;
-    return out;
-}
-
-/**
- * Cluster-major batched rerank vs the query-major scan on the 1M
- * fixture's 4-bit index, Zipf-skewed queries, Q = range(0) queries
- * per batch. Results are bitwise identical either way (the
- * RerankBatched suite enforces it); what differs is the traffic,
- * reported through the probe_bytes_* counters.
- */
-void
-rerankBatchedBench(benchmark::State &state, simd::Choice choice,
-                   bool batched)
-{
-    if (!pinBackendOrSkip(state, choice))
-        return;
-    const PqCompareFixture &f = pqCompareFixture();
-    const auto q = static_cast<std::size_t>(state.range(0));
-    Matrix queries(q, f.zipfQueries.cols());
-    std::copy_n(f.zipfQueries.flat().data(), q * f.zipfQueries.cols(),
-                queries.flat().data());
-    ShortLists lists(f.zipfLists.begin(), f.zipfLists.begin() + q);
-    RerankConfig rc;
-    rc.k = 10;
-    rc.maxCandidates = 4096;
-    rc.parallel = parallel::ParallelConfig::serial();
-    rc.parallel.simd = choice;
-    rc.usePq = true;
-    rc.batchedScan = batched;
-    for (auto _ : state) {
-        auto res = rerank(queries, f.ds.vectors(), f.idx4, lists, rc);
-        benchmark::DoNotOptimize(res.data());
-    }
-    state.SetItemsProcessed(
-        static_cast<std::int64_t>(state.iterations()) *
-        static_cast<std::int64_t>(q * rc.maxCandidates));
-    ProbePlanBytes plan =
-        probePlanBytes(f.idx4, lists, rc.maxCandidates);
-    state.counters["probe_bytes_query_major"] =
-        static_cast<double>(plan.queryMajor);
-    state.counters["probe_bytes_batched"] =
-        static_cast<double>(plan.batched);
-    state.counters["probe_bytes_ratio"] =
-        static_cast<double>(plan.queryMajor) /
-        static_cast<double>(plan.batched);
-}
-
-void
-BM_RerankPqBatched(benchmark::State &state, simd::Choice choice)
-{
-    rerankBatchedBench(state, choice, /*batched=*/true);
-}
-BENCHMARK_CAPTURE(BM_RerankPqBatched, scalar, simd::Choice::scalar)
-    ->Arg(1)
-    ->Arg(8)
-    ->Arg(32);
-BENCHMARK_CAPTURE(BM_RerankPqBatched, avx2, simd::Choice::avx2)
-    ->Arg(1)
-    ->Arg(8)
-    ->Arg(32);
-
-void
-BM_RerankPqQueryMajor(benchmark::State &state, simd::Choice choice)
-{
-    rerankBatchedBench(state, choice, /*batched=*/false);
-}
-BENCHMARK_CAPTURE(BM_RerankPqQueryMajor, scalar, simd::Choice::scalar)
-    ->Arg(1)
-    ->Arg(8)
-    ->Arg(32);
-BENCHMARK_CAPTURE(BM_RerankPqQueryMajor, avx2, simd::Choice::avx2)
-    ->Arg(1)
-    ->Arg(8)
-    ->Arg(32);
-
 void
 BM_MiniCnnExtract(benchmark::State &state)
 {
@@ -787,119 +645,20 @@ BM_MiniCnnExtract(benchmark::State &state)
 BENCHMARK(BM_MiniCnnExtract);
 
 /**
- * The seed (pre-PR-3) event queue, frozen verbatim as the regression
- * baseline for BM_EventQueue: fat heap entries carrying the callback
- * and name, with cancellation tracked through two hash sets. Kept
- * here (not in src/) so the production queue can evolve while the
- * baseline stays fixed.
- */
-class SeedEventQueue
-{
-  public:
-    using Callback = std::function<void()>;
-
-    std::uint64_t
-    schedule(sim::Tick when, Callback cb,
-             sim::EventPriority prio = sim::EventPriority::Default,
-             std::string name = {})
-    {
-        std::uint64_t id = nextSeq++;
-        queue.push(ScheduledEvent{when, static_cast<int>(prio), id,
-                                  std::move(cb), std::move(name)});
-        live.insert(id);
-        ++numPending;
-        return id;
-    }
-
-    bool
-    deschedule(std::uint64_t event_id)
-    {
-        if (live.erase(event_id) == 0)
-            return false;
-        cancelled.insert(event_id);
-        --numPending;
-        return true;
-    }
-
-    void
-    runOne()
-    {
-        skipCancelled();
-        ScheduledEvent ev = queue.top();
-        queue.pop();
-        live.erase(ev.seq);
-        --numPending;
-        curTick = ev.when;
-        ++executed;
-        ev.cb();
-    }
-
-    bool empty() const { return numPending == 0; }
-    sim::Tick now() const { return curTick; }
-
-  private:
-    struct ScheduledEvent
-    {
-        sim::Tick when;
-        int priority;
-        std::uint64_t seq;
-        Callback cb;
-        std::string name;
-    };
-
-    struct Later
-    {
-        bool
-        operator()(const ScheduledEvent &a,
-                   const ScheduledEvent &b) const
-        {
-            if (a.when != b.when)
-                return a.when > b.when;
-            if (a.priority != b.priority)
-                return a.priority > b.priority;
-            return a.seq > b.seq;
-        }
-    };
-
-    void
-    skipCancelled()
-    {
-        while (!queue.empty()) {
-            auto it = cancelled.find(queue.top().seq);
-            if (it == cancelled.end())
-                return;
-            cancelled.erase(it);
-            queue.pop();
-        }
-    }
-
-    std::priority_queue<ScheduledEvent, std::vector<ScheduledEvent>,
-                        Later>
-        queue;
-    std::unordered_set<std::uint64_t> live;
-    std::unordered_set<std::uint64_t> cancelled;
-    sim::Tick curTick = 0;
-    std::uint64_t nextSeq = 0;
-    std::uint64_t executed = 0;
-    std::size_t numPending = 0;
-};
-
-/**
  * Schedule/run/deschedule mix modeled on GAM status polling: waves
  * of events are scheduled at pseudo-random future ticks, half of
  * each wave is cancelled and re-armed (a wrong runtime estimate),
  * then the queue drains. Items processed = events executed, so the
  * benchmark reports DES events/sec.
  */
-template <typename Queue>
 void
-runEventQueueMix(benchmark::State &state)
+BM_EventQueue(benchmark::State &state)
 {
     const int pollers = 256;
     const int waves = 64;
     std::int64_t total_executed = 0;
     for (auto _ : state) {
-        Queue q;
+        sim::EventQueue q;
         sim::Rng rng(42);
         std::uint64_t executed = 0;
         std::vector<std::uint64_t> ids;
@@ -925,20 +684,7 @@ runEventQueueMix(benchmark::State &state)
     }
     state.SetItemsProcessed(total_executed);
 }
-
-void
-BM_EventQueue(benchmark::State &state)
-{
-    runEventQueueMix<sim::EventQueue>(state);
-}
 BENCHMARK(BM_EventQueue);
-
-void
-BM_EventQueueSeed(benchmark::State &state)
-{
-    runEventQueueMix<SeedEventQueue>(state);
-}
-BENCHMARK(BM_EventQueueSeed);
 
 /**
  * The Figure-13 sweep (all four mapping options, latency +

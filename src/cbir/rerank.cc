@@ -204,186 +204,8 @@ scoreCandidatesPq4(const simd::Kernels &k, const PqCodebook &cb,
     }
 }
 
-/** Per-query worker grain of the rerank parallel loops. */
+/** Per-query worker grain of the rerank parallel loop. */
 constexpr std::size_t kQueryGrain = 4;
-
-/**
- * Cluster-major batched ADC scan (RerankConfig::batchedScan): the
- * query-major loop above streams every probed cluster's code block
- * once per probing query; here the whole batch is planned first and
- * each block streams once per batch.
- *
- * Three deterministic stages:
- *   1. Plan (sequential): walk every query's short-list computing the
- *      same per-cluster prefix `take` as the query-major truncation,
- *      gather the candidate ids into per-query flat arrays, and
- *      invert the probes into cluster -> [(query, offset, take)]
- *      segments.
- *   2. Tables + scan (parallel): one ADC table per query into a
- *      shared arena, then a parallel sweep over the probed clusters —
- *      each cluster's block goes through the multi-query kernel
- *      against all its probing queries' tables. Every (query,
- *      cluster) segment is written by exactly one cluster task into a
- *      disjoint slice of that query's distance array, so the split
- *      across threads can't race or reorder any arithmetic.
- *   3. Select (parallel per query): identical selection / exact
- *      refine code as the query-major path.
- * Stage 2's kernels are bitwise-equal to per-query adcBatch calls by
- * the multi-kernel contract and stage 1 reproduces the query-major
- * candidate sets exactly, so the returned top-K matches the
- * query-major path bit for bit at any backend, batch size and thread
- * count.
- */
-RerankResults
-rerankBatchedPq(const simd::Kernels &k, const Matrix &queries,
-                const Matrix &database, const InvertedFileIndex &index,
-                const ShortLists &lists, const RerankConfig &cfg,
-                const std::vector<float> &norms)
-{
-    const PqCodebook &cb = index.pqCodebook();
-    const bool pq4 = cb.codeBits() == 4;
-    const std::size_t nq = queries.rows();
-    const std::size_t m = cb.numSubspaces();
-    const std::size_t stride = cb.lutStride();
-
-    struct Seg
-    {
-        std::uint32_t query;
-        std::size_t offset;
-        std::size_t take;
-    };
-    std::vector<std::vector<Seg>> byCluster(index.numClusters());
-    std::vector<std::vector<std::uint32_t>> ids(nq);
-    std::vector<AlignedFloats> adc(nq);
-    for (std::size_t q = 0; q < nq; ++q) {
-        std::size_t total = 0;
-        for (std::uint32_t cluster : lists[q]) {
-            if (cfg.maxCandidates && total >= cfg.maxCandidates)
-                break;
-            const auto &members = index.cluster(cluster);
-            std::size_t take = members.size();
-            if (cfg.maxCandidates)
-                take = std::min(take, cfg.maxCandidates - total);
-            if (take == 0)
-                continue;
-            byCluster[cluster].push_back(
-                {static_cast<std::uint32_t>(q), total, take});
-            ids[q].insert(
-                ids[q].end(), members.begin(),
-                members.begin() + static_cast<std::ptrdiff_t>(take));
-            total += take;
-        }
-        adc[q].resize(total);
-    }
-
-    // Per-batch table arena: nq tables side by side so the scan stage
-    // only indexes, never allocates.
-    const std::size_t lutBytes4 = m * simd::kAdc4LutStride;
-    AlignedBytes lut4Arena;
-    AlignedFloats lutArena;
-    std::vector<float> scales(pq4 ? nq : 0);
-    std::vector<float> biases(pq4 ? nq : 0);
-    if (pq4)
-        lut4Arena.resize(nq * lutBytes4);
-    else
-        lutArena.resize(nq * cb.lutFloats());
-    parallel::parallelFor(
-        0, nq, kQueryGrain,
-        [&](std::size_t qb, std::size_t qe) {
-            for (std::size_t q = qb; q < qe; ++q) {
-                if (pq4) {
-                    const PqCodebook::AdcQuantParams qp = cb.adcTable4(
-                        queries.row(q),
-                        lut4Arena.data() + q * lutBytes4);
-                    scales[q] = qp.scale;
-                    biases[q] = qp.bias;
-                } else {
-                    cb.adcTable(queries.row(q),
-                                lutArena.data() + q * cb.lutFloats());
-                }
-            }
-        },
-        cfg.parallel);
-
-    std::vector<std::uint32_t> active;
-    for (std::size_t c = 0; c < byCluster.size(); ++c) {
-        if (!byCluster[c].empty())
-            active.push_back(static_cast<std::uint32_t>(c));
-    }
-    parallel::parallelFor(
-        0, active.size(), 1,
-        [&](std::size_t cb_, std::size_t ce_) {
-            std::vector<const float *> luts;
-            std::vector<const std::uint8_t *> luts4;
-            std::vector<std::size_t> ns;
-            std::vector<float *> outs;
-            for (std::size_t i = cb_; i < ce_; ++i) {
-                const std::uint32_t cluster = active[i];
-                const std::vector<Seg> &segs = byCluster[cluster];
-                const std::size_t g = segs.size();
-                ns.resize(g);
-                outs.resize(g);
-                (pq4 ? luts4.resize(g) : luts.resize(g));
-                std::vector<float> sc(pq4 ? g : 0);
-                std::vector<float> bi(pq4 ? g : 0);
-                for (std::size_t s = 0; s < g; ++s) {
-                    const Seg &seg = segs[s];
-                    ns[s] = seg.take;
-                    outs[s] = adc[seg.query].data() + seg.offset;
-                    if (pq4) {
-                        luts4[s] = lut4Arena.data() +
-                                   seg.query * lutBytes4;
-                        sc[s] = scales[seg.query];
-                        bi[s] = biases[seg.query];
-                    } else {
-                        luts[s] = lutArena.data() +
-                                  seg.query * cb.lutFloats();
-                    }
-                }
-                if (pq4) {
-                    k.adcBatch4Multi(
-                        luts4.data(), ns.data(), g,
-                        index.clusterPackedCodes(cluster).data(), m,
-                        sc.data(), bi.data(), outs.data());
-                } else {
-                    k.adcBatchMulti(luts.data(), stride, ns.data(), g,
-                                    index.clusterCodes(cluster).data(),
-                                    m, outs.data());
-                }
-            }
-        },
-        cfg.parallel);
-
-    RerankResults out(nq);
-    parallel::parallelFor(
-        0, nq, kQueryGrain,
-        [&](std::size_t qb, std::size_t qe) {
-            std::vector<std::uint32_t> rids;
-            std::vector<Neighbor> cands;
-            AlignedFloats dots;
-            if (cfg.pqRefine > 0) {
-                rids.reserve(std::max(cfg.k, cfg.pqRefine));
-                cands.reserve(std::max(cfg.k, cfg.pqRefine));
-            }
-            for (std::size_t q = qb; q < qe; ++q) {
-                if (cfg.pqRefine > 0) {
-                    std::vector<Neighbor> top = selectKFlat(
-                        ids[q], adc[q], std::max(cfg.k, cfg.pqRefine));
-                    rids.clear();
-                    for (const Neighbor &nb : top)
-                        rids.push_back(nb.id);
-                    cands.clear();
-                    scoreCandidates(k, queries.row(q), database, norms,
-                                    rids, dots, cands);
-                    out[q] = selectK(cands, cfg.k);
-                } else {
-                    out[q] = selectKFlat(ids[q], adc[q], cfg.k);
-                }
-            }
-        },
-        cfg.parallel);
-    return out;
-}
 
 } // namespace
 
@@ -409,11 +231,6 @@ rerank(const Matrix &queries, const Matrix &database,
             ? databaseNorms(database, &index.vectorNormsSq(),
                             cfg.parallel)
             : std::vector<float>{};
-
-    if (cfg.usePq && cfg.batchedScan) {
-        return rerankBatchedPq(k, queries, database, index, lists, cfg,
-                               norms);
-    }
 
     RerankResults out(queries.rows());
     parallel::parallelFor(

@@ -65,18 +65,10 @@ struct RerankConfig
      */
     std::size_t pqRefine = 128;
     /**
-     * With usePq, invert the ADC scan from query-major to
-     * cluster-major over the whole batch: build the probe inverse
-     * map (cluster -> probing queries), then stream each probed
-     * cluster's contiguous code block exactly once while the
-     * multi-query ADC kernels score it against every probing query's
-     * table. Per-query candidate sets, distances and the final top-K
-     * are bitwise identical to the query-major path at any backend,
-     * batch size and thread count — only the memory traffic changes
-     * (each code block crosses the hierarchy once per batch instead
-     * of once per probing query). Ignored without usePq (the exact
-     * path re-reads full float rows per query anyway and stays
-     * query-major).
+     * No effect: retained only so existing callers that assign it
+     * still compile. The functional PQ scan is always query-major;
+     * the near-storage cluster-major scan order is modelled by
+     * ScaleConfig::batchedRerank in the timing model.
      */
     bool batchedScan = false;
 };

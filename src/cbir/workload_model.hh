@@ -97,14 +97,15 @@ struct ScaleConfig
      */
     PqConfig pq{};
     /**
-     * Cluster-major batched rerank (mirrors CbirService::Config::
-     * batchedRerank): with pq.enabled, each distinct probed cluster's
-     * code block streams from near-storage once per query batch —
-     * scored against every probing query in place — instead of once
-     * per probing query; the per-query ADC tables travel to the scan
-     * engine instead. Only the traffic accounting changes (results
-     * are bitwise identical in the functional layer). Ignored
-     * without pq.enabled.
+     * Cluster-major batched rerank, a timing-model-only knob set by
+     * the caller (like probeZipfS): with pq.enabled, each distinct
+     * probed cluster's code block streams from near-storage once per
+     * query batch — scored against every probing query in place —
+     * instead of once per probing query; the per-query ADC tables
+     * travel to the scan engine instead. Only the traffic accounting
+     * changes: the functional rerank computes the same per-query ADC
+     * distances in either scan order, so it always runs query-major.
+     * Ignored without pq.enabled.
      */
     bool batchedRerank = false;
     /**

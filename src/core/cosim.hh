@@ -55,16 +55,6 @@ class CbirService
          */
         cbir::PqConfig pq{};
         /**
-         * With pq.enabled, run the rerank ADC scan cluster-major per
-         * query batch (RerankConfig::batchedScan): each probed
-         * cluster's code block streams once per batch against all
-         * probing queries instead of once per query. Results are
-         * bitwise identical to the query-major scan; CoSimulation
-         * mirrors the knob into ScaleConfig::batchedRerank so the
-         * timing model charges the amortized traffic.
-         */
-        bool batchedRerank = false;
-        /**
          * Host-side thread budget and SIMD backend for the
          * functional kernels (index build, shortlist GEMM, rerank,
          * ground truth). Flows down into every kernel invocation; 1

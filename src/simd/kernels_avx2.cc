@@ -423,166 +423,6 @@ adcBatch4Avx2(const std::uint8_t *lut, const std::uint8_t *blocks,
 }
 
 /**
- * Multi-query gather ADC: the shared code stream advances one
- * kAdcMultiChunk-candidate chunk at a time and every live query
- * sweeps the current chunk through adcBatchAvx2 before the next is
- * touched, so a probed cluster's code block crosses the memory
- * hierarchy once per call instead of once per probing query. Each
- * candidate still runs the adcAccumAvx2 chain regardless of where
- * the chunk boundaries fall, so the output bits match per-query
- * adcBatch calls exactly.
- */
-REACH_AVX2 void
-adcBatchMultiAvx2(const float *const *luts, std::size_t stride,
-                  const std::size_t *ns, std::size_t nq,
-                  const std::uint8_t *codes, std::size_t m,
-                  float *const *outs)
-{
-    std::size_t nmax = 0;
-    for (std::size_t g = 0; g < nq; ++g)
-        nmax = nmax < ns[g] ? ns[g] : nmax;
-    for (std::size_t c0 = 0; c0 < nmax; c0 += kAdcMultiChunk) {
-        for (std::size_t g = 0; g < nq; ++g) {
-            if (ns[g] <= c0)
-                continue;
-            const std::size_t cnt = ns[g] - c0 < kAdcMultiChunk
-                                        ? ns[g] - c0
-                                        : kAdcMultiChunk;
-            adcBatchAvx2(luts[g], stride, codes + c0 * m, cnt, m,
-                         outs[g] + c0);
-        }
-    }
-}
-
-/**
- * Multi-query FastScan: one 32-candidate block is loaded and its
- * nibbles unpacked once into a stack arena, then every live query
- * shuffles its own register-resident tables against the arena. The
- * per-query accumulation differs from adcBatch4Avx2 in instruction
- * selection only: unpacklo/hi(vlo, vhi) interleaves the two shuffle
- * results and _mm256_maddubs_epi16 against ones sums each u8 pair
- * into the u16 lane — the identical exact integer sum the four
- * widen-and-add steps produce (no saturation: entries are <= 255 and
- * 255 + 255 < 32767), finished by the same fused multiply-add. So
- * the bits match per-query adcBatch4 calls at any block position.
- */
-REACH_AVX2 void
-adcBatch4MultiAvx2(const std::uint8_t *const *luts,
-                   const std::size_t *ns, std::size_t nq,
-                   const std::uint8_t *blocks, std::size_t m,
-                   const float *scales, const float *biases,
-                   float *const *outs)
-{
-    // Arena bound: validatePqConfig caps 4-bit m at 256 (128 packed
-    // rows). Anything larger degrades to per-query block sweeps.
-    constexpr std::size_t kMaxRows = 128;
-    const std::size_t rows = adc4CodeBytes(m);
-    const std::size_t blockBytes = adc4BlockBytes(m);
-    std::size_t nmax = 0;
-    for (std::size_t g = 0; g < nq; ++g)
-        nmax = nmax < ns[g] ? ns[g] : nmax;
-    if (rows > kMaxRows) {
-        for (std::size_t c0 = 0; c0 < nmax; c0 += kAdcMultiChunk) {
-            const std::uint8_t *chunk =
-                blocks + c0 / kAdc4BlockCands * blockBytes;
-            for (std::size_t g = 0; g < nq; ++g) {
-                if (ns[g] <= c0)
-                    continue;
-                const std::size_t cnt = ns[g] - c0 < kAdcMultiChunk
-                                            ? ns[g] - c0
-                                            : kAdcMultiChunk;
-                adcBatch4Avx2(luts[g], chunk, cnt, m, scales[g],
-                              biases[g], outs[g] + c0);
-            }
-        }
-        return;
-    }
-    const std::size_t pairs = m / 2;
-    const __m256i low4 = _mm256_set1_epi8(0x0F);
-    const __m256i zero = _mm256_setzero_si256();
-    const __m256i ones = _mm256_set1_epi8(1);
-    alignas(32) std::uint8_t nib[kMaxRows * 2 * kAdc4BlockCands];
-    for (std::size_t done = 0, b = 0; done < nmax;
-         done += kAdc4BlockCands, ++b) {
-        const std::uint8_t *blk = blocks + b * blockBytes;
-        _mm_prefetch(reinterpret_cast<const char *>(blk + blockBytes),
-                     _MM_HINT_T0);
-        for (std::size_t p = 0; p < rows; ++p) {
-            __m256i packed = _mm256_loadu_si256(
-                reinterpret_cast<const __m256i *>(
-                    blk + p * kAdc4BlockCands));
-            __m256i lo = _mm256_and_si256(packed, low4);
-            __m256i hi = _mm256_and_si256(
-                _mm256_srli_epi16(packed, 4), low4);
-            _mm256_store_si256(
-                reinterpret_cast<__m256i *>(nib + p * 64), lo);
-            _mm256_store_si256(
-                reinterpret_cast<__m256i *>(nib + p * 64 + 32), hi);
-        }
-        for (std::size_t g = 0; g < nq; ++g) {
-            if (ns[g] <= done)
-                continue;
-            const std::uint8_t *lut = luts[g];
-            __m256i acc0 = zero;
-            __m256i acc1 = zero;
-            for (std::size_t p = 0; p < pairs; ++p) {
-                __m256i lo = _mm256_load_si256(
-                    reinterpret_cast<const __m256i *>(nib + p * 64));
-                __m256i hi = _mm256_load_si256(
-                    reinterpret_cast<const __m256i *>(nib + p * 64 +
-                                                      32));
-                __m256i lutLo = _mm256_broadcastsi128_si256(
-                    _mm_loadu_si128(reinterpret_cast<const __m128i *>(
-                        lut + 2 * p * kAdc4LutStride)));
-                __m256i lutHi = _mm256_broadcastsi128_si256(
-                    _mm_loadu_si128(reinterpret_cast<const __m128i *>(
-                        lut + (2 * p + 1) * kAdc4LutStride)));
-                __m256i vlo = _mm256_shuffle_epi8(lutLo, lo);
-                __m256i vhi = _mm256_shuffle_epi8(lutHi, hi);
-                acc0 = _mm256_add_epi16(
-                    acc0, _mm256_maddubs_epi16(
-                              _mm256_unpacklo_epi8(vlo, vhi), ones));
-                acc1 = _mm256_add_epi16(
-                    acc1, _mm256_maddubs_epi16(
-                              _mm256_unpackhi_epi8(vlo, vhi), ones));
-            }
-            if (m % 2) {
-                // Odd tail subspace: only the low nibbles are codes.
-                __m256i lo = _mm256_load_si256(
-                    reinterpret_cast<const __m256i *>(nib +
-                                                      pairs * 64));
-                __m256i lutLo = _mm256_broadcastsi128_si256(
-                    _mm_loadu_si128(reinterpret_cast<const __m128i *>(
-                        lut + (m - 1) * kAdc4LutStride)));
-                __m256i vlo = _mm256_shuffle_epi8(lutLo, lo);
-                acc0 = _mm256_add_epi16(
-                    acc0, _mm256_unpacklo_epi8(vlo, zero));
-                acc1 = _mm256_add_epi16(
-                    acc1, _mm256_unpackhi_epi8(vlo, zero));
-            }
-            const __m256 vscale = _mm256_set1_ps(scales[g]);
-            const __m256 vbias = _mm256_set1_ps(biases[g]);
-            float buf[kAdc4BlockCands];
-            const std::size_t valid = ns[g] - done;
-            float *dst =
-                valid >= kAdc4BlockCands ? outs[g] + done : buf;
-            adc4Emit8(_mm256_castsi256_si128(acc0), vscale, vbias,
-                      dst);
-            adc4Emit8(_mm256_castsi256_si128(acc1), vscale, vbias,
-                      dst + 8);
-            adc4Emit8(_mm256_extracti128_si256(acc0, 1), vscale,
-                      vbias, dst + 16);
-            adc4Emit8(_mm256_extracti128_si256(acc1, 1), vscale,
-                      vbias, dst + 24);
-            if (dst == buf) {
-                for (std::size_t c = 0; c < valid; ++c)
-                    outs[g][done + c] = buf[c];
-            }
-        }
-    }
-}
-
-/**
  * 2x4 register block: eight live accumulators (two A rows x four B
  * rows), each an 8-lane FMA chain over d. Remainders fall back to
  * 1x4 and then 1x1 tiles.
@@ -810,7 +650,6 @@ avx2Kernels()
                            axpyAvx2,     dotBatchAvx2, dotIdxAvx2,
                            l2sqBatchAvx2, gemmNtAvx2,
                            adcAccumAvx2, adcBatchAvx2, adcBatch4Avx2,
-                           adcBatchMultiAvx2, adcBatch4MultiAvx2,
                            gemmNtF16Avx2, shortlistScoreAvx2,
                            shortlistScoreF16Avx2};
     return k;

@@ -141,63 +141,6 @@ adcBatch4Scalar(const std::uint8_t *lut, const std::uint8_t *blocks,
 }
 
 /**
- * Multi-query ADC, scalar: the shared stream advances one
- * kAdcMultiChunk-candidate chunk at a time with every live query
- * scoring the chunk through the single-query kernel. Per-candidate
- * arithmetic is position-independent, so the chunking is invisible
- * in the bits; the scalar backend keeps the structure (rather than a
- * plain per-query loop) so its cache behaviour mirrors avx2.
- */
-void
-adcBatchMultiScalar(const float *const *luts, std::size_t stride,
-                    const std::size_t *ns, std::size_t nq,
-                    const std::uint8_t *codes, std::size_t m,
-                    float *const *outs)
-{
-    std::size_t nmax = 0;
-    for (std::size_t g = 0; g < nq; ++g)
-        nmax = nmax < ns[g] ? ns[g] : nmax;
-    for (std::size_t c0 = 0; c0 < nmax; c0 += kAdcMultiChunk) {
-        for (std::size_t g = 0; g < nq; ++g) {
-            if (ns[g] <= c0)
-                continue;
-            const std::size_t cnt = ns[g] - c0 < kAdcMultiChunk
-                                        ? ns[g] - c0
-                                        : kAdcMultiChunk;
-            adcBatchScalar(luts[g], stride, codes + c0 * m, cnt, m,
-                           outs[g] + c0);
-        }
-    }
-}
-
-/** adcBatch4 analogue of adcBatchMultiScalar, chunked on blocks. */
-void
-adcBatch4MultiScalar(const std::uint8_t *const *luts,
-                     const std::size_t *ns, std::size_t nq,
-                     const std::uint8_t *blocks, std::size_t m,
-                     const float *scales, const float *biases,
-                     float *const *outs)
-{
-    std::size_t nmax = 0;
-    for (std::size_t g = 0; g < nq; ++g)
-        nmax = nmax < ns[g] ? ns[g] : nmax;
-    const std::size_t blockBytes = adc4BlockBytes(m);
-    for (std::size_t c0 = 0; c0 < nmax; c0 += kAdcMultiChunk) {
-        const std::uint8_t *chunk =
-            blocks + c0 / kAdc4BlockCands * blockBytes;
-        for (std::size_t g = 0; g < nq; ++g) {
-            if (ns[g] <= c0)
-                continue;
-            const std::size_t cnt = ns[g] - c0 < kAdcMultiChunk
-                                        ? ns[g] - c0
-                                        : kAdcMultiChunk;
-            adcBatch4Scalar(luts[g], chunk, cnt, m, scales[g],
-                            biases[g], outs[g] + c0);
-        }
-    }
-}
-
-/**
  * 1x4 register tile: each A row streams once across four B rows with
  * four live accumulators; per-element order over d matches dot(), so
  * the tiling never changes a C value.
@@ -327,8 +270,7 @@ scalarKernels()
                            dotBatchScalar, dotIdxScalar,
                            l2sqBatchScalar, gemmNtScalar,
                            adcAccumScalar, adcBatchScalar,
-                           adcBatch4Scalar, adcBatchMultiScalar,
-                           adcBatch4MultiScalar, gemmNtF16Scalar,
+                           adcBatch4Scalar, gemmNtF16Scalar,
                            shortlistScoreScalar,
                            shortlistScoreF16Scalar};
     return k;

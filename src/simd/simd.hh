@@ -101,15 +101,6 @@ adc4PackedBytes(std::size_t n, std::size_t m)
 }
 
 /**
- * Candidates per code-stream chunk in the multi-query ADC kernels:
- * all queries sweep one chunk before the stream advances, so a chunk
- * (32 KiB of 8-bit codes at m = 32) is still cache-resident when the
- * last query scores it. A multiple of kAdc4BlockCands so the 4-bit
- * chunks land on FastScan block boundaries.
- */
-inline constexpr std::size_t kAdcMultiChunk = 1024;
-
-/**
  * Transpose @p n packed 4-bit codes (rows of adc4CodeBytes(m) bytes;
  * byte p holds subspace 2p in the low nibble and 2p+1 in the high)
  * into the FastScan block layout adcBatch4 scans: blocks of 32
@@ -223,43 +214,6 @@ struct Kernels
                       const std::uint8_t *blocks, std::size_t n,
                       std::size_t m, float scale, float bias,
                       float *out);
-    /**
-     * Multi-query 8-bit ADC over one shared code stream: query g of
-     * @p nq scores the first ns[g] candidates of @p codes against its
-     * own table luts[g] into outs[g]. The stream advances in
-     * kAdcMultiChunk-candidate chunks with every live query sweeping
-     * the current chunk before the next is touched, so a cluster's
-     * code block is read from memory once per call instead of once
-     * per query. Per-candidate arithmetic is position-independent
-     * (each candidate runs the adcAccum chain of its backend), so for
-     * every g
-     *   outs[g][0, ns[g]) == adcBatch(luts[g], stride, codes, ns[g],
-     *                                 m, out)
-     * BITWISE — chunking cannot change the bits.
-     */
-    void (*adcBatchMulti)(const float *const *luts, std::size_t stride,
-                          const std::size_t *ns, std::size_t nq,
-                          const std::uint8_t *codes, std::size_t m,
-                          float *const *outs);
-    /**
-     * Multi-query 4-bit FastScan over one shared block stream: query
-     * g scores the first ns[g] candidates of @p blocks against its
-     * own u8 table luts[g] (dequantized with scales[g] / biases[g])
-     * into outs[g]. One 32-candidate block is loaded — and its
-     * nibbles unpacked — once, then swept against every live query's
-     * register-resident tables before the stream advances. The u16
-     * lane sums stay exact integers and the one fp op per candidate
-     * is the same fused multiply-add as adcBatch4, so for every g
-     *   outs[g][0, ns[g]) == adcBatch4(luts[g], blocks, ns[g], m,
-     *                                  scales[g], biases[g], out)
-     * BITWISE at either backend. @p blocks must span whole blocks
-     * for max(ns) candidates; only outs[g][0, ns[g]) is written.
-     */
-    void (*adcBatch4Multi)(const std::uint8_t *const *luts,
-                           const std::size_t *ns, std::size_t nq,
-                           const std::uint8_t *blocks, std::size_t m,
-                           const float *scales, const float *biases,
-                           float *const *outs);
     /**
      * gemmNt over half-precision B: A is fp32 (n x d), B is packed
      * IEEE binary16 (m x d u16, built by floatToHalfRne), C rows at

@@ -5,12 +5,16 @@
  * build is a backend-independent pure function, the compressed
  * rerank path is bitwise identical across thread counts and (without
  * refine) across backends, and refine covering the budget recovers
- * the exact pipeline.
+ * the exact pipeline — each at a cap, a budget smaller than the first
+ * probed cluster and an unlimited budget, and under planted ties.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <string>
+#include <unordered_set>
 
 #include "cbir/index.hh"
 #include "cbir/pq.hh"
@@ -426,27 +430,196 @@ TEST(InvertedFileIndexPq, AttachRejectsWrongSizes)
 namespace
 {
 
+/** Copy of @p src with every 7th row overwritten by its predecessor. */
+cbir::Matrix
+withPlantedTies(const cbir::Matrix &src)
+{
+    cbir::Matrix db(src.rows(), src.cols());
+    for (std::size_t r = 0; r < db.rows(); ++r) {
+        auto from = src.row(r % 7 == 3 ? r - 1 : r);
+        std::copy(from.begin(), from.end(), db.row(r).begin());
+    }
+    return db;
+}
+
+/**
+ * 20 clusters (~50 members each) over pqDataset(). With @p ties every
+ * 7th database row duplicates its predecessor: exact duplicates give
+ * exact ADC ties, so any drift in the candidate sweep order surfaces
+ * as a different tie-break. The tie fixture's queries are
+ * Zipf-skewed, so the batch's probes overlap heavily.
+ */
 struct PqRerankFixture
 {
     workload::Dataset ds = pqDataset();
+    cbir::Matrix db;
     InvertedFileIndex idx;
     cbir::Matrix queries;
     ShortLists lists;
 
     explicit PqRerankFixture(std::uint32_t bits = 8,
-                             std::uint32_t m = 8)
-        : idx(ds.vectors(),
+                             std::uint32_t m = 8, bool ties = false)
+        : db(ties ? withPlantedTies(ds.vectors()) : ds.vectors()),
+          idx(db,
               [] {
                   KMeansConfig kc;
                   kc.clusters = 20;
                   return kc;
               }()),
-          queries(ds.makeQueries(10, 0.2, 31))
+          queries(ties ? ds.makeQueriesZipf(10, 0.2, 31, 1.0)
+                       : ds.makeQueries(10, 0.2, 31))
     {
-        idx.buildPq(ds.vectors(), pqConfig(m, bits));
+        idx.buildPq(db, pqConfig(m, bits));
         lists = shortlistRetrieve(queries, idx, 6);
     }
 };
+
+struct Budget
+{
+    std::size_t k;
+    std::size_t maxCandidates;
+};
+
+/**
+ * Candidate budgets the rerank contracts are checked at. A cap of 120
+ * runs out partway through the ~50-member probed clusters; with
+ * k = 120 every candidate is returned, so one admitted past the cap
+ * shows up as a stray id. A budget of 3 is smaller than the first
+ * probed cluster (k = 3: the scan truncates its very first block, so
+ * the remaining-budget subtraction sits at its edge). 0 is unlimited.
+ */
+constexpr Budget kBudgets[] = {{10, 120}, {120, 120}, {3, 3}, {10, 0}};
+
+RerankConfig
+pqRerankConfig(const Budget &b, std::size_t refine)
+{
+    RerankConfig rc;
+    rc.k = b.k;
+    rc.maxCandidates = b.maxCandidates;
+    rc.usePq = true;
+    rc.pqRefine = refine;
+    rc.parallel = parallel::ParallelConfig::serial();
+    return rc;
+}
+
+/**
+ * Every query returns min(k, |candidates|) neighbours, all drawn from
+ * its budgeted candidate set: the probed clusters' members in probe
+ * order, cut at the budget. Built here independently of rerank(), so
+ * a budget that wrapped or over-ran shows up as a stray id or count.
+ */
+void
+expectWithinBudget(const PqRerankFixture &f, const RerankResults &got,
+                   const Budget &b, const std::string &what)
+{
+    ASSERT_EQ(got.size(), f.queries.rows()) << what;
+    for (std::size_t q = 0; q < got.size(); ++q) {
+        std::unordered_set<std::uint32_t> allowed;
+        for (std::uint32_t c : f.lists[q]) {
+            for (std::uint32_t id : f.idx.cluster(c)) {
+                if (b.maxCandidates && allowed.size() >= b.maxCandidates)
+                    break;
+                allowed.insert(id);
+            }
+        }
+        EXPECT_EQ(got[q].size(), std::min(b.k, allowed.size()))
+            << what << " query " << q;
+        for (const Neighbor &nb : got[q]) {
+            EXPECT_TRUE(allowed.count(nb.id))
+                << what << " query " << q << " id " << nb.id;
+        }
+    }
+}
+
+void
+expectIdentical(const RerankResults &a, const RerankResults &b,
+                const std::string &what)
+{
+    ASSERT_EQ(a.size(), b.size()) << what;
+    for (std::size_t q = 0; q < a.size(); ++q)
+        EXPECT_EQ(a[q], b[q]) << what << " query " << q;
+}
+
+std::string
+describe(bool ties, const Budget &b, std::size_t refine = 0)
+{
+    return std::string(ties ? "ties" : "plain") +
+           " k=" + std::to_string(b.k) +
+           " budget=" + std::to_string(b.maxCandidates) +
+           " refine=" + std::to_string(refine);
+}
+
+/**
+ * Refine >= the candidate budget re-scores every candidate with exact
+ * distances, so the PQ path returns the exact pipeline's neighbours
+ * bitwise, at every budget (unlimited refines the whole short-list).
+ */
+void
+expectRefineRecoversExact(std::uint32_t bits)
+{
+    PqRerankFixture f(bits);
+    for (const Budget &b : kBudgets) {
+        RerankConfig exact;
+        exact.k = b.k;
+        exact.maxCandidates = b.maxCandidates;
+        auto want = rerank(f.queries, f.db, f.idx, f.lists, exact);
+
+        const std::size_t refine =
+            b.maxCandidates ? b.maxCandidates : f.db.rows();
+        RerankConfig pq = pqRerankConfig(b, refine);
+        auto got = rerank(f.queries, f.db, f.idx, f.lists, pq);
+        const std::string what = describe(false, b, refine);
+        expectIdentical(got, want, what);
+        expectWithinBudget(f, got, b, what);
+    }
+}
+
+/**
+ * Pure ADC (no exact refine) returns identical bits on scalar and
+ * avx2 at every budget, with and without planted ties.
+ */
+void
+expectBackendsAgree(std::uint32_t bits)
+{
+    for (bool ties : {false, true}) {
+        PqRerankFixture f(bits, 8, ties);
+        for (const Budget &b : kBudgets) {
+            RerankConfig rc = pqRerankConfig(b, 0);
+            rc.parallel.simd = simd::Choice::scalar;
+            auto scalar = rerank(f.queries, f.db, f.idx, f.lists, rc);
+            rc.parallel.simd = simd::Choice::avx2;
+            auto avx2 = rerank(f.queries, f.db, f.idx, f.lists, rc);
+            const std::string what = describe(ties, b);
+            expectIdentical(scalar, avx2, what);
+            expectWithinBudget(f, scalar, b, what);
+        }
+    }
+}
+
+/**
+ * Thread count never changes a bit, with or without exact refine, at
+ * every budget and under planted ties.
+ */
+void
+expectThreadInvariant(std::uint32_t bits)
+{
+    for (bool ties : {false, true}) {
+        PqRerankFixture f(bits, 8, ties);
+        for (const Budget &b : kBudgets) {
+            for (std::size_t refine : {0u, 32u}) {
+                RerankConfig rc = pqRerankConfig(b, refine);
+                auto serial =
+                    rerank(f.queries, f.db, f.idx, f.lists, rc);
+                rc.parallel.threads = 4;
+                auto threaded =
+                    rerank(f.queries, f.db, f.idx, f.lists, rc);
+                const std::string what = describe(ties, b, refine);
+                expectIdentical(serial, threaded, what);
+                expectWithinBudget(f, serial, b, what);
+            }
+        }
+    }
+}
 
 } // namespace
 
@@ -466,22 +639,7 @@ TEST(RerankPq, PanicsWithoutCodes)
 
 TEST(RerankPq, RefineCoveringTheBudgetRecoversTheExactPipeline)
 {
-    PqRerankFixture f;
-    RerankConfig exact;
-    exact.k = 10;
-    exact.maxCandidates = 300;
-    auto want = rerank(f.queries, f.ds.vectors(), f.idx, f.lists,
-                       exact);
-
-    // Refine >= the candidate budget re-scores every candidate with
-    // exact distances: identical neighbours, bitwise.
-    RerankConfig pq = exact;
-    pq.usePq = true;
-    pq.pqRefine = 300;
-    auto got = rerank(f.queries, f.ds.vectors(), f.idx, f.lists, pq);
-    ASSERT_EQ(got.size(), want.size());
-    for (std::size_t q = 0; q < want.size(); ++q)
-        EXPECT_EQ(got[q], want[q]) << "query " << q;
+    expectRefineRecoversExact(8);
 }
 
 TEST(RerankPq, RecallAgainstTheExactPipeline)
@@ -490,19 +648,16 @@ TEST(RerankPq, RecallAgainstTheExactPipeline)
     RerankConfig exact;
     exact.k = 10;
     exact.maxCandidates = 4096;
-    auto want = rerank(f.queries, f.ds.vectors(), f.idx, f.lists,
-                       exact);
+    auto want = rerank(f.queries, f.db, f.idx, f.lists, exact);
 
     RerankConfig pq = exact;
     pq.usePq = true;
     pq.pqRefine = 0;
     double pure = recallAtK(
-        rerank(f.queries, f.ds.vectors(), f.idx, f.lists, pq), want,
-        10);
+        rerank(f.queries, f.db, f.idx, f.lists, pq), want, 10);
     pq.pqRefine = 64;
     double refined = recallAtK(
-        rerank(f.queries, f.ds.vectors(), f.idx, f.lists, pq), want,
-        10);
+        rerank(f.queries, f.db, f.idx, f.lists, pq), want, 10);
 
     // Pure ADC ordering is approximate but far from random; the
     // two-stage refine pass must recover near-exact recall.
@@ -519,40 +674,12 @@ TEST(RerankPq, BackendsAgreeBitwiseWithoutRefine)
     // bitwise cross-backend, so a pure-ADC rerank (no exact refine)
     // returns identical bits on scalar and avx2 — a stronger contract
     // than the float pipeline's tolerance-based agreement.
-    PqRerankFixture f;
-    RerankConfig rc;
-    rc.k = 10;
-    rc.maxCandidates = 4096;
-    rc.usePq = true;
-    rc.pqRefine = 0;
-    rc.parallel = parallel::ParallelConfig::serial();
-    rc.parallel.simd = simd::Choice::scalar;
-    auto scalar = rerank(f.queries, f.ds.vectors(), f.idx, f.lists,
-                         rc);
-    rc.parallel.simd = simd::Choice::avx2;
-    auto avx2 = rerank(f.queries, f.ds.vectors(), f.idx, f.lists, rc);
-    ASSERT_EQ(scalar.size(), avx2.size());
-    for (std::size_t q = 0; q < scalar.size(); ++q)
-        EXPECT_EQ(scalar[q], avx2[q]) << "query " << q;
+    expectBackendsAgree(8);
 }
 
 TEST(RerankPq, ThreadCountDoesNotChangeResults)
 {
-    PqRerankFixture f;
-    RerankConfig rc;
-    rc.k = 10;
-    rc.maxCandidates = 4096;
-    rc.usePq = true;
-    rc.pqRefine = 32;
-    rc.parallel = parallel::ParallelConfig::serial();
-    auto serial = rerank(f.queries, f.ds.vectors(), f.idx, f.lists,
-                         rc);
-    rc.parallel.threads = 4;
-    auto threaded = rerank(f.queries, f.ds.vectors(), f.idx, f.lists,
-                           rc);
-    ASSERT_EQ(serial.size(), threaded.size());
-    for (std::size_t q = 0; q < serial.size(); ++q)
-        EXPECT_EQ(serial[q], threaded[q]) << "query " << q;
+    expectThreadInvariant(8);
 }
 
 /**
@@ -562,20 +689,7 @@ TEST(RerankPq, ThreadCountDoesNotChangeResults)
 
 TEST(RerankPq4, RefineCoveringTheBudgetRecoversTheExactPipeline)
 {
-    PqRerankFixture f(4);
-    RerankConfig exact;
-    exact.k = 10;
-    exact.maxCandidates = 300;
-    auto want = rerank(f.queries, f.ds.vectors(), f.idx, f.lists,
-                       exact);
-
-    RerankConfig pq = exact;
-    pq.usePq = true;
-    pq.pqRefine = 300;
-    auto got = rerank(f.queries, f.ds.vectors(), f.idx, f.lists, pq);
-    ASSERT_EQ(got.size(), want.size());
-    for (std::size_t q = 0; q < want.size(); ++q)
-        EXPECT_EQ(got[q], want[q]) << "query " << q;
+    expectRefineRecoversExact(4);
 }
 
 TEST(RerankPq4, RecallAgainstTheExactPipeline)
@@ -588,19 +702,16 @@ TEST(RerankPq4, RecallAgainstTheExactPipeline)
     RerankConfig exact;
     exact.k = 10;
     exact.maxCandidates = 4096;
-    auto want = rerank(f.queries, f.ds.vectors(), f.idx, f.lists,
-                       exact);
+    auto want = rerank(f.queries, f.db, f.idx, f.lists, exact);
 
     RerankConfig pq = exact;
     pq.usePq = true;
     pq.pqRefine = 0;
     double pure = recallAtK(
-        rerank(f.queries, f.ds.vectors(), f.idx, f.lists, pq), want,
-        10);
+        rerank(f.queries, f.db, f.idx, f.lists, pq), want, 10);
     pq.pqRefine = 96;
     double refined = recallAtK(
-        rerank(f.queries, f.ds.vectors(), f.idx, f.lists, pq), want,
-        10);
+        rerank(f.queries, f.db, f.idx, f.lists, pq), want, 10);
 
     // 16 centroids per subspace order far more loosely than 256
     // (pure ADC only pre-sorts), so the exact-refine pass carries
@@ -619,38 +730,10 @@ TEST(RerankPq4, BackendsAgreeBitwiseWithoutRefine)
     // adcBatch4 is exact-integer + one fma on both backends, so a
     // pure-ADC 4-bit rerank returns identical bits on scalar and
     // avx2.
-    PqRerankFixture f(4);
-    RerankConfig rc;
-    rc.k = 10;
-    rc.maxCandidates = 4096;
-    rc.usePq = true;
-    rc.pqRefine = 0;
-    rc.parallel = parallel::ParallelConfig::serial();
-    rc.parallel.simd = simd::Choice::scalar;
-    auto scalar = rerank(f.queries, f.ds.vectors(), f.idx, f.lists,
-                         rc);
-    rc.parallel.simd = simd::Choice::avx2;
-    auto avx2 = rerank(f.queries, f.ds.vectors(), f.idx, f.lists, rc);
-    ASSERT_EQ(scalar.size(), avx2.size());
-    for (std::size_t q = 0; q < scalar.size(); ++q)
-        EXPECT_EQ(scalar[q], avx2[q]) << "query " << q;
+    expectBackendsAgree(4);
 }
 
 TEST(RerankPq4, ThreadCountDoesNotChangeResults)
 {
-    PqRerankFixture f(4);
-    RerankConfig rc;
-    rc.k = 10;
-    rc.maxCandidates = 4096;
-    rc.usePq = true;
-    rc.pqRefine = 32;
-    rc.parallel = parallel::ParallelConfig::serial();
-    auto serial = rerank(f.queries, f.ds.vectors(), f.idx, f.lists,
-                         rc);
-    rc.parallel.threads = 4;
-    auto threaded = rerank(f.queries, f.ds.vectors(), f.idx, f.lists,
-                           rc);
-    ASSERT_EQ(serial.size(), threaded.size());
-    for (std::size_t q = 0; q < serial.size(); ++q)
-        EXPECT_EQ(serial[q], threaded[q]) << "query " << q;
+    expectThreadInvariant(4);
 }

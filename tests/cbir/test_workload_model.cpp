@@ -327,7 +327,7 @@ TEST(WorkloadModel, BatchedRerankIgnoredWithoutPq)
     CbirWorkloadModel batched(s);
     CbirWorkloadModel exact(paperScale());
     // The exact pipeline has no code blocks to amortize: the flag is
-    // inert, matching RerankConfig::batchedScan's contract.
+    // inert.
     EXPECT_EQ(batched.rerankBatch(1).bytesIn,
               exact.rerankBatch(1).bytesIn);
     EXPECT_EQ(batched.rerankBatch(1).ops, exact.rerankBatch(1).ops);

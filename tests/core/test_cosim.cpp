@@ -116,36 +116,6 @@ TEST(CoSim, ScaleTracksShortlistPrecision)
     EXPECT_EQ(fp32_sim.scale().centroidBytesPerDim, 4u);
 }
 
-TEST(CoSim, ScaleTracksBatchedRerank)
-{
-    // The timing model's batched-rerank accounting is derived from
-    // the functional knob — a stale scale is overwritten, so the byte
-    // model can never charge per-query streams while the service
-    // scans cluster-major (or vice versa).
-    CbirService::Config cfg = smallService();
-    cfg.pq.enabled = true;
-    cfg.pq.m = 8;
-    cfg.pq.trainIterations = 4;
-    cfg.batchedRerank = true;
-    cbir::ScaleConfig sc = smallScale();
-    sc.batchedRerank = false; // deliberately stale
-    CoSimulation cosim(cfg, sc, Mapping::Reach);
-    EXPECT_TRUE(cosim.scale().batchedRerank);
-
-    // And the functional answers stay bitwise those of a query-major
-    // service over the same deterministic dataset/index build.
-    cbir::Matrix queries =
-        cosim.service().dataset().makeQueries(8, 0.05, 5);
-    CoSimBatch batch = cosim.processBatch(queries);
-    CbirService::Config qm = cfg;
-    qm.batchedRerank = false;
-    CbirService ref(qm);
-    auto want = ref.query(queries);
-    ASSERT_EQ(batch.results.size(), want.size());
-    for (std::size_t q = 0; q < want.size(); ++q)
-        EXPECT_EQ(batch.results[q], want[q]) << "query " << q;
-}
-
 TEST(CoSim, Fp16ShortlistBatchAnswersMatchDirectPipeline)
 {
     CbirService::Config cfg = smallService();
