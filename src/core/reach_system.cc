@@ -9,6 +9,14 @@
 namespace reach::core
 {
 
+namespace
+{
+
+/** The host DRAM region the CPU and on-chip accelerator address. */
+constexpr std::uint64_t hostRegionBytes = std::uint64_t(16) << 30;
+
+} // namespace
+
 ReachSystem::ReachSystem(const SystemConfig &config) : cfg(config)
 {
     if (cfg.numChannels == 0)
@@ -36,6 +44,19 @@ ReachSystem::ReachSystem(const SystemConfig &config) : cfg(config)
     }
     if (cfg.hostDramStreamBw < 0)
         sim::fatal("hostDramStreamBw must be >= 0 (0 = calibrate)");
+    if (hostRegionBytes >
+        std::uint64_t(cfg.hostDimms) * cfg.dram.capacityBytes) {
+        sim::fatal("the host region (", hostRegionBytes,
+                   " B) does not fit ", cfg.hostDimms, " DIMMs of ",
+                   cfg.dram.capacityBytes, " B");
+    }
+    if (cfg.numAimModules > 0 &&
+        (cfg.aimRegionBytes == 0 ||
+         cfg.aimRegionBytes > cfg.dram.capacityBytes)) {
+        sim::fatal("an AIM region (", cfg.aimRegionBytes,
+                   " B) must be non-empty and fit one DIMM (",
+                   cfg.dram.capacityBytes, " B)");
+    }
     cfg.faultPlan.validate();
 
     buildMemory();
@@ -49,41 +70,18 @@ ReachSystem::ReachSystem(const SystemConfig &config) : cfg(config)
 void
 ReachSystem::buildMemory()
 {
-    // DIMM slots: host DIMMs first, then one slot per AIM module,
-    // spread evenly across channels.
-    std::uint32_t total_dimms = cfg.hostDimms + cfg.numAimModules;
-    std::uint32_t per_channel =
-        (total_dimms + cfg.numChannels - 1) / cfg.numChannels;
-    per_channel = std::max<std::uint32_t>(per_channel, 1);
-
-    mem::MemorySystemConfig mcfg;
-    mcfg.numChannels = cfg.numChannels;
-    mcfg.dimmsPerChannel = per_channel;
-    mcfg.dimmTimings = cfg.dram;
-    memSys = std::make_unique<mem::MemorySystem>(sim, "mem", mcfg);
-
-    // Host region: cache-line interleave across the host DIMMs.
-    std::vector<mem::DimmRef> host_units;
-    for (std::uint32_t i = 0; i < cfg.hostDimms; ++i) {
-        host_units.push_back(
-            {i % cfg.numChannels, i / cfg.numChannels});
-    }
-    memSys->addRegion("host", std::uint64_t(16) << 30, host_units,
-                      mem::cacheLineBytes);
-
-    cache = std::make_unique<mem::Cache>(sim, "llc", *memSys,
-                                         cfg.cache);
     tlb = std::make_unique<mem::Tlb>(sim, "accTlb", cfg.tlb);
 
     // Calibrate the host streaming bandwidth from the detailed model
-    // unless the config pins it.
+    // (once per topology per process) unless the config pins it.
     if (cfg.hostDramStreamBw > 0) {
         hostDramBw = cfg.hostDramStreamBw;
     } else {
-        auto cal = mem::measureStreamingBandwidth(
-            cfg.dram, cfg.numChannels,
-            std::max<std::uint32_t>(cfg.hostDimms / cfg.numChannels, 1));
-        hostDramBw = cal.bandwidth;
+        hostDramBw = mem::calibratedStreamingBandwidth(
+                         cfg.dram, cfg.numChannels,
+                         std::max<std::uint32_t>(
+                             cfg.hostDimms / cfg.numChannels, 1))
+                         .bandwidth;
     }
 
     noc::LinkConfig dram_link;
@@ -152,13 +150,8 @@ ReachSystem::buildAccelerators()
     cpuCore->setParamPath(acc::Path{}.via(*hostDram).via(*cachePort));
     cpuCore->enableParamBuffer(cfg.cache.sizeBytes, cfg.cacheLinkBw);
 
-    // Near-memory AIM modules: one per extra DIMM slot after the
-    // host DIMMs, in channel-round-robin slot order.
+    // Near-memory AIM modules, each interposing its own DIMM.
     for (std::uint32_t i = 0; i < cfg.numAimModules; ++i) {
-        std::uint32_t slot = cfg.hostDimms + i;
-        mem::DimmRef ref{slot % cfg.numChannels,
-                         slot / cfg.numChannels};
-
         noc::LinkConfig local;
         local.bandwidth = cfg.aimUsesHbm ? cfg.aimHbmBw
                                          : cfg.aimLocalBw;
@@ -167,20 +160,17 @@ ReachSystem::buildAccelerators()
         aimLocal.push_back(std::make_unique<noc::Link>(
             sim, "aimLocal" + std::to_string(i), local));
 
+        std::string name = "aim" + std::to_string(i);
+        aimDimms.push_back(
+            std::make_unique<mem::Dimm>(sim, name + ".dimm", cfg.dram));
         auto module = std::make_unique<acc::AimModule>(
-            sim, "aim" + std::to_string(i), memSys->dimmAt(ref),
-            aimBus.get());
+            sim, name, *aimDimms.back(), aimBus.get());
         module->setInputPath(acc::Path{}.via(*aimLocal.back()));
         module->setOutputPath(acc::Path{}.via(*aimLocal.back()));
         module->setParamPath(acc::Path{}.via(*aimLocal.back()));
         // The module's parameters stay in its DIMM.
         module->enableParamBuffer(cfg.aimRegionBytes, local.bandwidth);
         aims.push_back(std::move(module));
-
-        // Tile-granular region so each tile lives in one DIMM.
-        memSys->addRegion("aimRegion" + std::to_string(i),
-                          cfg.aimRegionBytes, {ref},
-                          std::uint64_t(1) << 20);
     }
 
     // Near-storage modules: one per SSD.
@@ -220,8 +210,7 @@ ReachSystem::wireGam()
     gamUnit->buffers().setCapacity(
         acc::Level::NearStor,
         std::uint64_t(cfg.numSsds) * cfg.ssd.capacityBytes);
-    gamUnit->buffers().setCapacity(acc::Level::Cpu,
-                                   std::uint64_t(16) << 30);
+    gamUnit->buffers().setCapacity(acc::Level::Cpu, hostRegionBytes);
 
     if (onChipAcc)
         onChipId = gamUnit->addAccelerator(*onChipAcc);
@@ -342,8 +331,14 @@ ReachSystem::registerEnergy()
     for (auto &n : nss)
         energy.addAccelerator(*n);
 
-    energy.addCache(*cache);
-    energy.addMemorySystem(*memSys);
+    // DRAM background power for ceil(DIMMs / channels) slots on every
+    // channel: the host DIMMs plus one per AIM module.
+    std::uint32_t per_channel =
+        (cfg.hostDimms + cfg.numAimModules + cfg.numChannels - 1) /
+        cfg.numChannels;
+    double ranks = static_cast<double>(cfg.numChannels) * per_channel *
+                   cfg.dram.ranksPerDimm;
+    energy.setDramBackgroundPower(ranks * cfg.dram.backgroundPowerW);
     for (auto &s : ssds)
         energy.addSsd(*s);
 

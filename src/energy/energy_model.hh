@@ -22,8 +22,6 @@
 
 #include "acc/accelerator.hh"
 #include "gam/gam.hh"
-#include "mem/cache.hh"
-#include "mem/memory_system.hh"
 #include "noc/link.hh"
 #include "storage/ssd.hh"
 
@@ -91,11 +89,6 @@ class EnergyModel
     {
         accs.push_back(&a);
     }
-    void addCache(const mem::Cache &c) { caches.push_back(&c); }
-    void addMemorySystem(const mem::MemorySystem &m)
-    {
-        memSystems.push_back(&m);
-    }
     void addSsd(const storage::Ssd &s) { ssds.push_back(&s); }
 
     /**
@@ -104,6 +97,13 @@ class EnergyModel
      * memory-controller interconnect, so retries cost energy.
      */
     void addGam(const gam::Gam &g) { gams.push_back(&g); }
+
+    /**
+     * DRAM background (standby + refresh) power drawn for the whole
+     * horizon, charged to Component::Dram; the machine derives it
+     * from its DIMM slots.
+     */
+    void setDramBackgroundPower(double watts) { dramBackgroundW = watts; }
 
     /**
      * Register a bulk-traffic link and classify its bytes. A link
@@ -118,8 +118,7 @@ class EnergyModel
   private:
     BulkEnergyRates rates;
     std::vector<const acc::Accelerator *> accs;
-    std::vector<const mem::Cache *> caches;
-    std::vector<const mem::MemorySystem *> memSystems;
+    double dramBackgroundW = 0;
     std::vector<const storage::Ssd *> ssds;
     std::vector<const gam::Gam *> gams;
     std::vector<std::pair<const noc::Link *, Component>> links;

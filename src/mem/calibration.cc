@@ -1,10 +1,42 @@
 #include "calibration.hh"
 
+#include <map>
+#include <mutex>
+#include <tuple>
+
 #include "mem/memory_system.hh"
 #include "sim/simulator.hh"
 
 namespace reach::mem
 {
+
+namespace
+{
+
+/** Everything a default-size stream measurement depends on. */
+auto
+calibrationKey(const DramTimings &t, std::uint32_t channels,
+               std::uint32_t dimms_per_channel)
+{
+    return std::make_tuple(
+        t.tCK, t.tRCD, t.tRP, t.tCL, t.tCWL, t.tBL, t.tRAS, t.tRRD,
+        t.tFAW, t.tWR, t.tREFI, t.tRFC, t.banksPerRank, t.ranksPerDimm,
+        t.rowBytes, t.capacityBytes, t.actPreEnergyPj,
+        t.readBurstEnergyPj, t.writeBurstEnergyPj, t.backgroundPowerW,
+        channels, dimms_per_channel);
+}
+
+// A field added to DramTimings must join the key above; this trips
+// when the struct grows.
+static_assert(sizeof(DramTimings) == 12 * sizeof(sim::Tick) +
+                                         2 * sizeof(std::uint32_t) +
+                                         2 * sizeof(std::uint64_t) +
+                                         4 * sizeof(double),
+              "calibrationKey() must cover every DramTimings field");
+
+using CalibrationKey = decltype(calibrationKey(DramTimings{}, 0, 0));
+
+} // namespace
 
 StreamCalibration
 measureStreamingBandwidth(const DramTimings &timings,
@@ -42,6 +74,28 @@ measureStreamingBandwidth(const DramTimings &timings,
         out.efficiency = out.bandwidth / peak;
     }
     return out;
+}
+
+StreamCalibration
+calibratedStreamingBandwidth(const DramTimings &timings,
+                             std::uint32_t channels,
+                             std::uint32_t dimms_per_channel)
+{
+    static std::mutex lock;
+    static std::map<CalibrationKey, StreamCalibration> memo;
+
+    // The lock is held across the measurement, so machines built
+    // concurrently still simulate each topology once.
+    std::lock_guard<std::mutex> guard(lock);
+    CalibrationKey key =
+        calibrationKey(timings, channels, dimms_per_channel);
+    auto it = memo.find(key);
+    if (it == memo.end()) {
+        it = memo.emplace(key, measureStreamingBandwidth(
+                                   timings, channels, dimms_per_channel))
+                 .first;
+    }
+    return it->second;
 }
 
 } // namespace reach::mem

@@ -40,6 +40,19 @@ StreamCalibration measureStreamingBandwidth(
     std::uint64_t bytes = std::uint64_t(8) << 20,
     std::uint64_t interleave_bytes = 64);
 
+/**
+ * measureStreamingBandwidth() at its default stream size and
+ * cache-line interleave, run once per distinct topology per process.
+ *
+ * The result depends only on @p timings, @p channels and
+ * @p dimms_per_channel, so it is memoized on exactly those; later
+ * calls return the first result bit for bit. Safe to call from
+ * concurrent threads.
+ */
+StreamCalibration calibratedStreamingBandwidth(
+    const DramTimings &timings, std::uint32_t channels,
+    std::uint32_t dimms_per_channel);
+
 } // namespace reach::mem
 
 #endif // REACH_MEM_CALIBRATION_HH

@@ -1,12 +1,17 @@
 /**
  * @file
  * Tests of the assembled machine: Table II topology, calibrated
- * bandwidths, GAM wiring and transfer paths.
+ * bandwidths, DRAM background energy, GAM wiring and transfer paths.
  */
 
 #include <gtest/gtest.h>
 
+#include <thread>
+#include <vector>
+
 #include "core/reach_system.hh"
+#include "mem/calibration.hh"
+#include "mem/memory_system.hh"
 #include "sim/logging.hh"
 
 using namespace reach;
@@ -21,6 +26,35 @@ paperConfig()
     return SystemConfig{}; // defaults follow Table II
 }
 
+/**
+ * An idle machine's DRAM energy over 10 ms is background power only;
+ * it must equal what a standalone MemorySystem with @p channels x
+ * @p dimms_per_channel slots draws (background power per rank).
+ */
+void
+expectDramBackgroundOf(const SystemConfig &cfg, std::uint32_t channels,
+                       std::uint32_t dimms_per_channel)
+{
+    ReachSystem sys(cfg);
+    sys.simulator().events().schedule(10 * sim::tickPerMs, [] {});
+    sys.simulator().run();
+
+    sim::Simulator ref_sim;
+    mem::MemorySystemConfig mcfg;
+    mcfg.numChannels = channels;
+    mcfg.dimmsPerChannel = dimms_per_channel;
+    mcfg.dimmTimings = cfg.dram;
+    mem::MemorySystem ref(ref_sim, "mem", mcfg);
+    double expected = static_cast<double>(ref.numChannels()) *
+                      ref.dimmsPerChannel() *
+                      ref.config().dimmTimings.ranksPerDimm *
+                      ref.config().dimmTimings.backgroundPowerW *
+                      sim::secondsFromTicks(sys.simulator().now());
+
+    EXPECT_GT(expected, 0.0);
+    EXPECT_EQ(sys.measureEnergy()[energy::Component::Dram], expected);
+}
+
 } // namespace
 
 TEST(ReachSystem, TableTwoTopology)
@@ -29,9 +63,8 @@ TEST(ReachSystem, TableTwoTopology)
     EXPECT_TRUE(sys.hasOnChip());
     EXPECT_EQ(sys.numAims(), 4u);
     EXPECT_EQ(sys.numNs(), 4u);
-    EXPECT_EQ(sys.memory().numChannels(), 2u);
     // 4 host + 4 AIM DIMMs over 2 channels.
-    EXPECT_EQ(sys.memory().dimmsPerChannel(), 4u);
+    expectDramBackgroundOf(paperConfig(), 2, 4);
 }
 
 TEST(ReachSystem, GamKnowsAllAccelerators)
@@ -51,6 +84,29 @@ TEST(ReachSystem, CalibratedHostBandwidthInRange)
     // Two DDR4-2400 channels: mid-30s GB/s sustained.
     EXPECT_GT(sys.hostDramBandwidth(), 30e9);
     EXPECT_LT(sys.hostDramBandwidth(), 38.4e9);
+}
+
+TEST(ReachSystem, ConcurrentConstructionSharesCalibration)
+{
+    // A topology no other test here calibrates, so the four threads
+    // race on its first measurement.
+    SystemConfig cfg = paperConfig();
+    cfg.hostDimms = 6;
+    cfg.numChannels = 3;
+    std::vector<double> bw(4, 0.0);
+    std::vector<std::thread> threads;
+    for (std::size_t t = 0; t < bw.size(); ++t) {
+        threads.emplace_back([&cfg, &bw, t] {
+            bw[t] = ReachSystem(cfg).hostDramBandwidth();
+        });
+    }
+    for (auto &th : threads)
+        th.join();
+
+    double direct =
+        mem::measureStreamingBandwidth(cfg.dram, 3, 2).bandwidth;
+    for (double b : bw)
+        EXPECT_EQ(b, direct);
 }
 
 TEST(ReachSystem, PinnedBandwidthSkipsCalibration)
@@ -80,7 +136,23 @@ TEST(ReachSystem, ScaledInstanceCounts)
     EXPECT_EQ(sys.numAims(), 16u);
     EXPECT_EQ(sys.numNs(), 16u);
     // 4 host + 16 AIM DIMMs over 2 channels = 10 per channel.
-    EXPECT_EQ(sys.memory().dimmsPerChannel(), 10u);
+    expectDramBackgroundOf(cfg, 2, 10);
+}
+
+TEST(ReachSystem, DramBackgroundChargesEveryChannelSlot)
+{
+    // Slots are ceil(DIMMs / channels) per channel, so an uneven
+    // count is charged for the rounded-up layout: 4 host + 1 AIM
+    // over 2 channels draws for 2 x 3 DIMMs.
+    SystemConfig odd = paperConfig();
+    odd.numAimModules = 1;
+    expectDramBackgroundOf(odd, 2, 3);
+
+    // 4 host + 16 AIM DIMMs over 3 channels: 3 x 7.
+    SystemConfig wide = paperConfig();
+    wide.numAimModules = 16;
+    wide.numChannels = 3;
+    expectDramBackgroundOf(wide, 3, 7);
 }
 
 TEST(ReachSystem, AimModulesAttachToDistinctDimms)
@@ -177,6 +249,17 @@ TEST(ReachSystem, ConfigValidation)
     SystemConfig bad3;
     bad3.numAimModules = 100;
     EXPECT_THROW(ReachSystem{bad3}, sim::SimFatal);
+
+    // The host region must fit the host DIMMs, and an AIM region
+    // the DIMM its module interposes.
+    SystemConfig bad4;
+    bad4.dram.capacityBytes = std::uint64_t(2) << 30;
+    bad4.aimRegionBytes = std::uint64_t(1) << 30;
+    EXPECT_THROW(ReachSystem{bad4}, sim::SimFatal);
+
+    SystemConfig bad5;
+    bad5.aimRegionBytes = bad5.dram.capacityBytes + 1;
+    EXPECT_THROW(ReachSystem{bad5}, sim::SimFatal);
 }
 
 TEST(ReachSystem, TaskObserverSeesEveryCompletion)
@@ -215,26 +298,4 @@ TEST(ReachSystem, TaskObserverSeesEveryCompletion)
     // observation strictly after finish (status round trip).
     EXPECT_EQ(events[0].observed, events[0].finished);
     EXPECT_GT(events[1].observed, events[1].finished);
-}
-
-TEST(ReachSystem, HostTrafficProceedsDuringAimOwnership)
-{
-    // Memory-space isolation (paper §III-B): the host region and the
-    // AIM regions live on different DIMMs, so CPU-side cache traffic
-    // flows while every AIM module owns its DIMM.
-    ReachSystem sys{SystemConfig{}};
-    for (std::uint32_t i = 0; i < sys.numAims(); ++i)
-        sys.aim(i).dimm().setAccOwned(true);
-
-    int done = 0;
-    for (int i = 0; i < 32; ++i) {
-        sys.llc().access(static_cast<mem::Addr>(i) * 4096, false,
-                         mem::Requester::Cpu,
-                         [&done](sim::Tick) { ++done; });
-    }
-    sys.simulator().run();
-    EXPECT_EQ(done, 32);
-
-    for (std::uint32_t i = 0; i < sys.numAims(); ++i)
-        sys.aim(i).dimm().setAccOwned(false);
 }

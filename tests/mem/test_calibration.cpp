@@ -69,3 +69,28 @@ TEST(Calibration, MatchesTableTwoExpectations)
     EXPECT_GT(cal.bandwidth, 30e9);
     EXPECT_LT(cal.bandwidth, 38.4e9);
 }
+
+TEST(Calibration, MemoMatchesDirectMeasurement)
+{
+    // A non-default topology: 3 channels x 1 DIMM.
+    auto direct = measureStreamingBandwidth(quietRefresh(), 3, 1);
+    auto first = calibratedStreamingBandwidth(quietRefresh(), 3, 1);
+    auto again = calibratedStreamingBandwidth(quietRefresh(), 3, 1);
+    EXPECT_EQ(first.bandwidth, direct.bandwidth);
+    EXPECT_EQ(first.efficiency, direct.efficiency);
+    EXPECT_EQ(again.bandwidth, direct.bandwidth);
+    EXPECT_EQ(again.efficiency, direct.efficiency);
+}
+
+TEST(Calibration, MemoKeyCoversTimings)
+{
+    // Same topology, one timing changed: the memo must measure again
+    // rather than hand back the default-timing result.
+    DramTimings slow = quietRefresh();
+    slow.tCL += 10 * slow.tCK;
+    auto base = calibratedStreamingBandwidth(quietRefresh(), 1, 2);
+    auto changed = calibratedStreamingBandwidth(slow, 1, 2);
+    EXPECT_NE(changed.bandwidth, base.bandwidth);
+    EXPECT_EQ(changed.bandwidth,
+              measureStreamingBandwidth(slow, 1, 2).bandwidth);
+}
